@@ -16,7 +16,7 @@
 //!   schedule.
 //! * `insert_batch` — batched: one canonicalize+hash per key, hash-
 //!   sorted for index locality, one budget check per batch.
-//! * `sharded/N` — `ShardedTree::par_insert_batch` across N shards
+//! * `sharded/N` — `ShardedTree::par_insert_prehashed_iter` across N shards
 //!   (persistent worker pool, one long-lived thread per shard; scaling
 //!   requires ≥ N cores).
 //!
@@ -55,7 +55,7 @@ use flowbench::{Args, Table};
 use flowdist::daemon::{DaemonConfig, SiteDaemon, TransferMode};
 use flowdist::lane::{spawn_multi_lane_ingest, LaneOptions};
 use flowdist::{AdmissionKnobs, IngestPipeline, ShardedTree};
-use flowkey::{FlowKey, Schema};
+use flowkey::{key_hash, FlowKey, Schema};
 use flownet::FlowRecord;
 use flowtrace::{profile, TraceGen};
 use flowtree_core::{Config, FlowTree, Popularity};
@@ -204,7 +204,13 @@ fn main() {
         rows.push(measure(&format!("sharded/{s}"), n, || {
             let mut st = ShardedTree::new(schema, tree_cfg, s);
             for chunk in trace.chunks(batch) {
-                st.par_insert_batch(chunk);
+                // Canonicalize + hash here, as the rows above do
+                // inside the tree: the shards route by the carried hash.
+                let items = chunk.iter().map(|(k, p)| {
+                    let k = schema.canonicalize(k);
+                    (key_hash(&k), k, *p)
+                });
+                st.par_insert_prehashed_iter(items, chunk.len());
             }
             (st.stats(), st.len())
         }));
@@ -320,12 +326,11 @@ fn main() {
             "raw MiB",
         ]);
         // Before-fix reference: identical decode + window bucketing,
-        // but flushed through `ingest_stamped_batch`, which
-        // re-canonicalizes and re-hashes every key at flush time — the
-        // historical pipeline hot path whose shard rows degraded. The
-        // paired `pipeline/v5/N` rows below carry each key's hash from
-        // decode to shard routing, so the fix is a measured delta in
-        // the artifact, not a claim.
+        // but every key is re-canonicalized and re-hashed at flush
+        // time — the historical pipeline hot path whose shard rows
+        // degraded. The paired `pipeline/v5/N` rows below carry each
+        // key's hash from decode to shard routing, so the fix is a
+        // measured delta in the artifact, not a claim.
         for &s in &shard_counts {
             let mut dcfg = DaemonConfig::new(1);
             dcfg.window_ms = 1_000;
@@ -338,6 +343,16 @@ fn main() {
             let start = Instant::now();
             let mut summaries = 0usize;
             let mut pending: Vec<(u64, FlowKey, Popularity)> = Vec::with_capacity(batch);
+            let mut items = Vec::with_capacity(batch);
+            let mut flush =
+                |daemon: &mut SiteDaemon, pending: &mut Vec<(u64, FlowKey, Popularity)>| {
+                    items.clear();
+                    items.extend(pending.drain(..).map(|(ts, k, p)| {
+                        let k = schema.canonicalize(&k);
+                        (ts, key_hash(&k), k, p)
+                    }));
+                    daemon.ingest_prehashed_batch(&items).len()
+                };
             for payload in &payloads {
                 let Ok((_, records)) = flownet::decode_export_packet_at(&mut decoder, payload, 0)
                 else {
@@ -351,13 +366,12 @@ fn main() {
                         Popularity::flow(r.packets, r.bytes),
                     ));
                     if pending.len() >= batch {
-                        summaries += daemon.ingest_stamped_batch(&pending).len();
-                        pending.clear();
+                        summaries += flush(&mut daemon, &mut pending);
                     }
                 }
             }
             if !pending.is_empty() {
-                summaries += daemon.ingest_stamped_batch(&pending).len();
+                summaries += flush(&mut daemon, &mut pending);
             }
             summaries += daemon.flush().len();
             let secs = start.elapsed().as_secs_f64();

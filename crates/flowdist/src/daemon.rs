@@ -10,7 +10,7 @@
 use crate::shard::ShardedTree;
 use crate::summary::{Summary, SummaryKind};
 use crate::window::WindowId;
-use flowkey::Schema;
+use flowkey::{key_hash, Schema};
 use flownet::FlowRecord;
 use flowtree_core::{Config, FlowTree, Popularity};
 use std::collections::BTreeMap;
@@ -165,150 +165,53 @@ impl SiteDaemon {
     }
 
     /// Ingests one flow record; returns summaries of any windows that
-    /// closed as a consequence of the advancing event time.
+    /// closed as a consequence of the advancing event time. Counts the
+    /// record and a [`flownet::netflow5::RECORD_LEN`] raw-byte
+    /// equivalent.
     pub fn ingest_record(&mut self, r: &FlowRecord) -> Vec<Summary> {
-        self.stats.records += 1;
         self.stats.raw_bytes += flownet::netflow5::RECORD_LEN as u64;
-        let key = r.flow_key();
+        let key = self.cfg.schema.canonicalize(&r.flow_key());
         let pop = Popularity::flow(r.packets, r.bytes);
-        self.ingest_mass(r.last_ms, &key, pop)
+        self.ingest_prehashed_batch(&[(r.last_ms, key_hash(&key), key, pop)])
     }
 
     /// Ingests pre-keyed mass at an event time (per-packet path).
+    /// Counts no record: a packet's mass is not a flow record.
     pub fn ingest_mass(
         &mut self,
         ts_ms: u64,
         key: &flowkey::FlowKey,
         pop: Popularity,
     ) -> Vec<Summary> {
-        let window = WindowId::containing(ts_ms, self.cfg.window_ms);
-        let out = self.advance_watermark(ts_ms);
-        // Late data: older than every open window → dropped (counted).
-        let oldest_open = self.oldest_allowed();
-        if window.start_ms < oldest_open {
-            self.stats.late_drops += 1;
-            return out;
-        }
-        let tree = self
-            .open
-            .entry(window.start_ms)
-            .or_insert_with(|| Self::window_tree(&self.cfg));
-        tree.insert(key, pop);
-        out
+        let key = self.cfg.schema.canonicalize(key);
+        self.insert_items(&[(ts_ms, key_hash(&key), key, pop)])
     }
 
-    /// Ingests a batch of pre-keyed masses that genuinely share one
-    /// event time, fanning the batch across the window's ingest shards
-    /// in parallel when `DaemonConfig::shards > 1`. Returns summaries
-    /// of any windows the advancing event time closed.
-    ///
-    /// Every item is attributed to the window containing `ts_ms` — for
-    /// batches whose records carry their own timestamps (which may
-    /// straddle a window boundary), use [`Self::ingest_stamped_batch`]
-    /// so each item lands in its own window.
-    pub fn ingest_mass_batch(
-        &mut self,
-        ts_ms: u64,
-        batch: &[(flowkey::FlowKey, Popularity)],
-    ) -> Vec<Summary> {
-        self.stats.records += batch.len() as u64;
-        self.stats.raw_bytes += batch.len() as u64 * flownet::netflow5::RECORD_LEN as u64;
-        let window = WindowId::containing(ts_ms, self.cfg.window_ms);
-        let out = self.advance_watermark(ts_ms);
-        let oldest_open = self.oldest_allowed();
-        if window.start_ms < oldest_open {
-            self.stats.late_drops += batch.len() as u64;
-            return out;
-        }
-        let tree = self
-            .open
-            .entry(window.start_ms)
-            .or_insert_with(|| Self::window_tree(&self.cfg));
-        tree.par_insert_batch(batch);
-        out
-    }
-
-    /// Ingests a batch of `(event_time_ms, key, mass)` items, routing
+    /// Ingests a batch of `(event_time_ms, key_hash, key, mass)` items
+    /// whose keys are **already canonicalized and hashed** (the
+    /// streaming pipeline hashes every record exactly once at decode
+    /// time, and the shards route by that carried hash), routing
     /// **each item to the window containing its own timestamp** — the
-    /// batch may span window boundaries freely (the streaming
-    /// [`crate::pipeline`] feeds the daemon through this). Items land
-    /// in their windows *before* the watermark advances to the batch's
-    /// newest timestamp, so an item whose window was open on arrival is
-    /// never closed out from under its own batch: it is included in the
+    /// batch may span window boundaries freely. Items land in their
+    /// windows *before* the watermark advances to the batch's newest
+    /// timestamp, so an item whose window was open on arrival is never
+    /// closed out from under its own batch: it is included in the
     /// summary this call may emit. Only items already older than every
     /// open window at call time are dropped (and counted). Returns
     /// summaries of any windows the advancing event time closed.
     ///
     /// Counts `records` but not `raw_bytes`: callers that saw the wire
-    /// report actual bytes via [`Self::note_raw_bytes`]; others may add
-    /// a [`flownet::netflow5::RECORD_LEN`]-per-record equivalent.
-    pub fn ingest_stamped_batch(
-        &mut self,
-        items: &[(u64, flowkey::FlowKey, Popularity)],
-    ) -> Vec<Summary> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let span = self.cfg.window_ms;
-        let (mut max_ts, mut w_min, mut w_max) = (0u64, u64::MAX, 0u64);
-        for (ts, _, _) in items {
-            max_ts = max_ts.max(*ts);
-            let w = WindowId::containing(*ts, span).start_ms;
-            w_min = w_min.min(w);
-            w_max = w_max.max(w);
-        }
-        self.stats.records += items.len() as u64;
-        // Lateness is judged against the horizon as of arrival; the
-        // batch's own newest timestamp must not retro-drop its peers.
-        let oldest_open = self.oldest_allowed();
-        if w_min == w_max {
-            // The common shape — the pipeline sends window-bucketed
-            // batches — feeds the shards straight from the input slice.
-            if w_max < oldest_open {
-                self.stats.late_drops += items.len() as u64;
-            } else {
-                let tree = self
-                    .open
-                    .entry(w_max)
-                    .or_insert_with(|| Self::window_tree(&self.cfg));
-                tree.par_insert_iter(items.iter().map(|(_, k, p)| (k, *p)), items.len());
-            }
-            return self.advance_watermark(max_ts);
-        }
-        let mut per_window: BTreeMap<u64, Vec<(flowkey::FlowKey, Popularity)>> = BTreeMap::new();
-        for (ts, key, pop) in items {
-            let window = WindowId::containing(*ts, span);
-            if window.start_ms < oldest_open {
-                self.stats.late_drops += 1;
-            } else {
-                per_window
-                    .entry(window.start_ms)
-                    .or_default()
-                    .push((*key, *pop));
-            }
-        }
-        for (start_ms, batch) in per_window {
-            let tree = self
-                .open
-                .entry(start_ms)
-                .or_insert_with(|| Self::window_tree(&self.cfg));
-            tree.par_insert_batch(&batch);
-        }
-        self.advance_watermark(max_ts)
-    }
-
-    /// [`Self::ingest_stamped_batch`] for items whose keys are
-    /// **already canonicalized and hashed** — each item carries
-    /// `(event_time_ms, key_hash, key, mass)`. The streaming pipeline
-    /// hashes every record exactly once at decode time and this path
-    /// routes shards by that carried hash, so flush time does zero
-    /// re-canonicalizing and re-hashing. Semantics (window routing,
-    /// lateness, watermark, counters) are identical to the stamped
-    /// path.
+    /// report actual bytes via [`Self::note_raw_bytes`].
     pub fn ingest_prehashed_batch(
         &mut self,
         items: &[(u64, u64, flowkey::FlowKey, Popularity)],
     ) -> Vec<Summary> {
+        self.stats.records += items.len() as u64;
+        self.insert_items(items)
+    }
+
+    /// The one insert body behind every ingest entry point.
+    fn insert_items(&mut self, items: &[(u64, u64, flowkey::FlowKey, Popularity)]) -> Vec<Summary> {
         if items.is_empty() {
             return Vec::new();
         }
@@ -320,7 +223,6 @@ impl SiteDaemon {
             w_min = w_min.min(w);
             w_max = w_max.max(w);
         }
-        self.stats.records += items.len() as u64;
         // Lateness is judged against the horizon as of arrival; the
         // batch's own newest timestamp must not retro-drop its peers.
         let oldest_open = self.oldest_allowed();
@@ -566,33 +468,57 @@ mod tests {
         (k, Popularity::new(packets, packets * 100, 1))
     }
 
-    #[test]
-    fn mass_batch_is_counted_like_the_record_path() {
-        let mut d = daemon(1000, TransferMode::Full);
-        let batch: Vec<_> = (0..10).map(|i| mass(i, 2)).collect();
-        d.ingest_mass_batch(500, &batch);
-        assert_eq!(d.stats().records, 10);
-        assert_eq!(d.stats().raw_bytes, 10 * 48);
-        // A dropped-late batch still counts as ingested records.
-        d.ingest_mass_batch(9_500, &batch);
-        d.ingest_mass_batch(100, &batch[..3]);
-        assert_eq!(d.stats().records, 23);
-        assert_eq!(d.stats().late_drops, 3);
+    /// A pipeline-shaped item: canonicalized key, its hash, its mass.
+    fn stamped(ts_ms: u64, (key, pop): (FlowKey, Popularity)) -> (u64, u64, FlowKey, Popularity) {
+        let key = Schema::five_feature().canonicalize(&key);
+        (ts_ms, key_hash(&key), key, pop)
     }
 
     #[test]
-    fn stamped_batch_routes_each_item_to_its_own_window() {
+    fn every_entry_point_keeps_its_own_counters() {
+        let mut d = daemon(1000, TransferMode::Full);
+        let batch: Vec<_> = (0..10).map(|i| stamped(500, mass(i, 2))).collect();
+        d.ingest_prehashed_batch(&batch);
+        assert_eq!(d.stats().records, 10);
+        assert_eq!(
+            d.stats().raw_bytes,
+            0,
+            "the wire path reports its own bytes"
+        );
+        // A dropped-late batch still counts as ingested records.
+        let late: Vec<_> = (0..3).map(|i| stamped(100, mass(i, 1))).collect();
+        d.ingest_prehashed_batch(&[stamped(9_500, mass(1, 1))]);
+        d.ingest_prehashed_batch(&late);
+        assert_eq!(d.stats().records, 14);
+        assert_eq!(d.stats().late_drops, 3);
+        // Per-packet mass counts no record and no raw bytes.
+        let (k, p) = mass(4, 1);
+        d.ingest_mass(9_600, &k, p);
+        assert_eq!(d.stats().records, 14);
+        assert_eq!(d.stats().raw_bytes, 0);
+        // A flow record counts itself and a v5 record's worth of bytes.
+        d.ingest_record(&record(9_700, 5, 1));
+        assert_eq!(d.stats().records, 15);
+        assert_eq!(d.stats().raw_bytes, 48);
+        d.ingest_mass(100, &k, p);
+        d.ingest_record(&record(100, 5, 1));
+        assert_eq!(d.stats().late_drops, 5, "per-item paths count lateness too");
+    }
+
+    #[test]
+    fn prehashed_batch_routes_each_item_to_its_own_window() {
         let mut cfg = DaemonConfig::new(1);
         cfg.window_ms = 1000;
         cfg.tree = Config::with_budget(512);
         cfg.open_windows = 3;
         let mut d = SiteDaemon::new(cfg);
-        let (k1, p1) = mass(1, 5);
-        let (k2, p2) = mass(2, 7);
-        let (k3, p3) = mass(3, 9);
         // One batch straddling two boundaries: windows 0, 1, and 2 —
         // all still open, so nothing may be misattributed or dropped.
-        let out = d.ingest_stamped_batch(&[(900, k1, p1), (1_100, k2, p2), (2_050, k3, p3)]);
+        let out = d.ingest_prehashed_batch(&[
+            stamped(900, mass(1, 5)),
+            stamped(1_100, mass(2, 7)),
+            stamped(2_050, mass(3, 9)),
+        ]);
         assert!(out.is_empty(), "all three windows remain open");
         assert_eq!(d.open_windows().len(), 3);
         assert_eq!(d.stats().records, 3);
@@ -606,13 +532,12 @@ mod tests {
     }
 
     #[test]
-    fn stamped_batch_drops_only_the_hopelessly_late_items() {
+    fn prehashed_batch_drops_only_the_hopelessly_late_items() {
         let mut d = daemon(1000, TransferMode::Full);
-        let (k1, p1) = mass(1, 1);
-        let (k2, p2) = mass(2, 2);
         d.ingest_record(&record(5_000, 9, 1));
-        // k1 is older than every open window; k2 lands in the current.
-        let out = d.ingest_stamped_batch(&[(100, k1, p1), (5_100, k2, p2)]);
+        // The first item is older than every open window; the second
+        // lands in the current one.
+        let out = d.ingest_prehashed_batch(&[stamped(100, mass(1, 1)), stamped(5_100, mass(2, 2))]);
         assert!(out.is_empty());
         assert_eq!(d.stats().late_drops, 1);
         let total: i64 = d.flush().iter().map(|s| s.tree.total().packets).sum();
@@ -620,21 +545,24 @@ mod tests {
     }
 
     #[test]
-    fn stamped_batch_newest_item_cannot_retro_drop_its_peers() {
+    fn prehashed_batch_newest_item_cannot_retro_drop_its_peers() {
         let mut d = daemon(1000, TransferMode::Full);
         d.ingest_record(&record(1_500, 9, 1)); // windows 0 and 1 open
-        let (k1, p1) = mass(1, 5);
-        let (k2, p2) = mass(2, 2);
-        // k1's window [0,1000) is open on arrival; k2's timestamp will
-        // close it. k1 must land in window 0 *before* the close, so the
-        // summary this very call emits includes it.
-        let out = d.ingest_stamped_batch(&[(900, k1, p1), (2_500, k2, p2)]);
+
+        // The first item's window [0,1000) is open on arrival; the
+        // second's timestamp will close it. The first must land in
+        // window 0 *before* the close, so the summary this very call
+        // emits includes it.
+        let out = d.ingest_prehashed_batch(&[stamped(900, mass(1, 5)), stamped(2_500, mass(2, 2))]);
         assert_eq!(d.stats().late_drops, 0);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].window.start_ms, 0);
         assert_eq!(out[0].tree.total().packets, 5);
         let total: i64 = d.flush().iter().map(|s| s.tree.total().packets).sum();
-        assert_eq!(total, 3, "window 1 record + k2 remain open until flush");
+        assert_eq!(
+            total, 3,
+            "window 1 record + the second item remain open until flush"
+        );
     }
 
     #[test]

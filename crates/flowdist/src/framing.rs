@@ -141,9 +141,11 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"hello").unwrap();
         write_frame(&mut buf, b"").unwrap();
+        write_frame(&mut buf, &[7u8; 1000]).unwrap();
         let mut r = &buf[..];
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), vec![7u8; 1000]);
         assert!(read_frame(&mut r).unwrap().is_none());
     }
 
@@ -153,6 +155,11 @@ mod tests {
         assert!(write_frame(Vec::new(), &huge).is_err());
         let mut buf = Vec::new();
         buf.extend_from_slice(&(MAX_FRAME + 1).to_be_bytes());
+        assert!(read_frame(&buf[..]).is_err());
+        // Truncated body is an error, not None.
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"abcdef").unwrap();
+        buf.truncate(buf.len() - 2);
         assert!(read_frame(&buf[..]).is_err());
     }
 

@@ -1,11 +1,18 @@
-//! Multi-lane UDP ingest: N independent listen→decode→pipeline lanes
-//! merged into one summary stream at window close.
+//! The daemon's UDP ingest edge: N independent
+//! listen→decode→pipeline lanes merged into one summary stream at
+//! window close.
 //!
-//! The single-reader loop in [`crate::listen`] serializes every
-//! datagram through one thread — one syscall, one decoder, one
-//! admission table, one pipeline. At site export rates that reader is
-//! the ceiling, not the tree. This module rebuilds the ingest edge so
-//! it scales with cores:
+//! [`crate::pipeline`] supplies the decode→window→batch front end but
+//! is socket-agnostic; [`spawn_multi_lane_ingest`] parks sockets on
+//! threads, feeds every raw exporter payload (NetFlow v5/v9/IPFIX,
+//! auto-detected, template caches persisting) into per-lane
+//! pipelines, and ships each emitted [`Summary`] frame through a
+//! bounded channel — the `listen → pipeline` loop a production daemon
+//! runs, with the caller free to forward the frames over TCP to a
+//! collector or an aggregation relay. One reader serializing every
+//! datagram through one syscall, one decoder, one admission table and
+//! one pipeline is the ceiling at site export rates, so the edge
+//! scales with cores:
 //!
 //! * **N sockets, one port** — [`crate::sockopt::bind_reuseport`]
 //!   binds N `SO_REUSEPORT` sockets to the same address and the kernel
@@ -56,13 +63,20 @@
 //! re-emitting the window would *replace* it at the collector, which
 //! is worse.
 //!
-//! With `lanes == 1` this collapses to the familiar single-reader
-//! loop (one lane, pass-through merge) and the emitted frames are
-//! byte-identical to [`crate::listen::spawn_udp_ingest`]'s.
+//! With `lanes == 1` this collapses to the single-reader loop (one
+//! lane, pass-through merge): the emitted frames are byte-identical to
+//! a lone [`IngestPipeline`] fed the same datagrams in arrival order,
+//! and every multi-lane configuration must reproduce those bytes
+//! (`tests/lane_matrix.rs`).
+//!
+//! Shutdown is cooperative: [`MultiIngestHandle::stop`] raises a flag,
+//! every lane drains whatever already sits in its socket buffer (so no
+//! datagram sent before `stop` is lost), flushes its pipeline, the
+//! merger ships the final frames, and the counters come back as one
+//! [`IngestReport`].
 
 use crate::admission::{AdmissionControl, AdmissionKnobs, AdmissionStats};
 use crate::daemon::{DaemonConfig, DaemonStats, TransferMode};
-use crate::listen::{IngestReport, IngestSnapshot, IngestTelemetry};
 use crate::mrecv::BatchReceiver;
 use crate::pipeline::{IngestPipeline, PipelineStats};
 use crate::ring;
@@ -92,11 +106,97 @@ const RING_CAPACITY: usize = 1_024;
 /// within seconds of boot.
 pub const DEFAULT_IDLE_LANE_MS: u64 = 2_000;
 
+/// Optional observability hooks for the ingest edge — the pieces the
+/// snapshot counters can't carry: an instantaneous open-window gauge
+/// and shed events with a *why* attached.
+#[derive(Debug, Clone, Default)]
+pub struct IngestTelemetry {
+    /// Set to the pipeline's open window-bucket count after every
+    /// receive batch.
+    pub open_windows: Option<flowmetrics::Gauge>,
+    /// Receives a `window_shed` event whenever the open-window budget
+    /// force-flushes buckets.
+    pub events: Option<flowmetrics::EventRing>,
+}
+
+/// One reading of the engine's live counters (lane counters summed,
+/// merger counters for the summary/frame side).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IngestSnapshot {
+    /// Raw datagrams received (admitted or not). The edge identity:
+    /// `datagrams == packets + decode_errors + quota_packet_drops`.
+    pub datagrams: u64,
+    /// Export packets decoded successfully.
+    pub packets: u64,
+    /// Payloads that failed to decode.
+    pub decode_errors: u64,
+    /// Datagrams denied by a per-exporter packet quota.
+    pub quota_packet_drops: u64,
+    /// Records denied by a per-exporter record quota.
+    pub quota_record_drops: u64,
+    /// Flow records extracted.
+    pub records: u64,
+    /// Data records/sets dropped for lack of a template.
+    pub records_no_template: u64,
+    /// Templates currently cached by the decoders.
+    pub templates: u64,
+    /// Templates evicted (count cap + timeout).
+    pub templates_evicted: u64,
+    /// Templates rejected for violating shape bounds.
+    pub templates_rejected: u64,
+    /// Window buckets force-flushed to honor the open-window budget.
+    pub window_sheds: u64,
+    /// 1 ms waits spent on a full ring or frames channel
+    /// (backpressure).
+    pub backpressure_waits: u64,
+    /// Exporter addresses currently tracked by admission control.
+    pub exporters: u64,
+    /// Exporter entries evicted to bound the table.
+    pub exporters_evicted: u64,
+    /// Achieved socket receive buffer (0 = OS default / unsupported).
+    pub recv_buffer_bytes: u64,
+    /// Records dropped as older than any open window.
+    pub late_drops: u64,
+    /// Summaries emitted by the merger.
+    pub summaries: u64,
+    /// Summary frames shipped through the channel.
+    pub frames_sent: u64,
+    /// Frames dropped (receiver gone, or full channel while stopping).
+    pub frames_dropped: u64,
+}
+
+/// What [`MultiIngestHandle::stop`] hands back.
+#[derive(Debug)]
+pub struct IngestReport {
+    /// Raw datagrams received (admitted or not).
+    pub datagrams: u64,
+    /// Decode/bucket/batch counters of the pipelines.
+    pub pipeline: PipelineStats,
+    /// The decoders' hardening counters (templates, skipped records).
+    pub decoder: DecoderStats,
+    /// Admission-control drop/eviction counters.
+    pub admission: AdmissionStats,
+    /// The lane daemons' counters; `summaries` / `summary_bytes` are
+    /// the merger's emitted stream.
+    pub daemon: DaemonStats,
+    /// Summary frames shipped through the channel.
+    pub frames_sent: u64,
+    /// Frames dropped because the channel's receiver was gone, or
+    /// because the channel was still full while stopping (the caller
+    /// was no longer draining).
+    pub frames_dropped: u64,
+    /// 1 ms waits spent on a full ring or frames channel
+    /// (backpressure).
+    pub backpressure_waits: u64,
+    /// A socket-level error that ended a loop early, if any.
+    pub error: Option<std::io::Error>,
+}
+
 /// Tuning for [`spawn_multi_lane_ingest`].
 #[derive(Debug, Clone)]
 pub struct LaneOptions {
-    /// Listen lanes (clamped to `1..=MAX_LANES`). 1 = the classic
-    /// single-reader loop.
+    /// Listen lanes (clamped to `1..=MAX_LANES`). 1 = a single
+    /// reader.
     pub lanes: usize,
     /// Datagrams per receive syscall (clamped to
     /// `1..=`[`crate::mrecv::MAX_RECV_BATCH`]).
@@ -114,8 +214,8 @@ pub struct LaneOptions {
     /// Live-reloadable admission quotas, open-window budget, and the
     /// `pin-cores` toggle, shared with whoever serves `POST /reload`.
     pub knobs: Arc<AdmissionKnobs>,
-    /// Observability hooks (wired to lane 0, whose open-window gauge
-    /// and shed events mirror the single-reader loop's).
+    /// Observability hooks (wired to lane 0: its open-window gauge
+    /// and shed events).
     pub telemetry: IngestTelemetry,
     /// Observes the datagram count of every receive batch.
     pub batch_hist: Option<Histogram>,
@@ -281,9 +381,8 @@ impl MultiGaugeView {
         self.merger.stale_windows.load(Ordering::Relaxed)
     }
 
-    /// The aggregate view in the same shape the single-reader loop
-    /// publishes: lane counters summed, merger counters for the
-    /// summary/frame side.
+    /// The aggregate view: lane counters summed, merger counters for
+    /// the summary/frame side.
     pub fn snapshot(&self) -> IngestSnapshot {
         let mut s = IngestSnapshot::default();
         for lane in self.lanes.iter() {
@@ -381,8 +480,8 @@ impl MultiIngestHandle {
 
     /// Stops the engine: every lane drains its socket (or ring),
     /// flushes its pipeline, the merger emits every residual window,
-    /// and the aggregated counters come back in the single-loop
-    /// [`IngestReport`] shape (lane counters summed; `daemon.summaries`
+    /// and the aggregated counters come back as one
+    /// [`IngestReport`] (lane counters summed; `daemon.summaries`
     /// / `summary_bytes` are the merger's emitted stream).
     pub fn stop(self) -> IngestReport {
         self.stop.store(true, Ordering::Relaxed);
@@ -754,9 +853,12 @@ impl Lane {
         self.finish(None)
     }
 
-    /// The per-datagram hot path — identical admission discipline to
-    /// the single-reader loop, so the edge identity `datagrams ==
-    /// packets + decode_errors + quota_packet_drops` holds per lane.
+    /// The per-datagram hot path. Admission order pins the edge
+    /// identity `datagrams == packets + decode_errors +
+    /// quota_packet_drops` per lane: a datagram is quota-dropped
+    /// *before* decode (no work for the hostile), or it decodes
+    /// (packets/decode_errors). Records of an admitted packet are then
+    /// charged all-or-nothing.
     fn process_datagram(&mut self, payload: &[u8], peer: SocketAddr, now_ms: u64) {
         self.datagrams += 1;
         let cfg = self.knobs.load();
@@ -1010,8 +1112,11 @@ fn merger_loop(
         current.saturating_sub(span * (cfg.open_windows as u64 - 1))
     };
 
-    // The same ship-or-drop discipline as the single-reader loop: a
-    // full channel is backpressure until stop, then drops are counted.
+    // Backpressure without a shutdown deadlock: a full channel parks
+    // the merger in 1 ms waits (a slow consumer throttles ingest), but
+    // once the stop flag is up, undeliverable frames are dropped and
+    // counted instead — `stop()` joins this thread, so blocking on
+    // `send` would deadlock a caller that drains only after stopping.
     let emit = |start_ms: u64, trees: Vec<FlowTree>, done: &mut MergerDone, seq: &mut u64| {
         let mut trees = trees;
         let tree = if trees.len() == 1 {
@@ -1222,6 +1327,123 @@ mod tests {
             senders * 60,
             "all mass survives the lane merge"
         );
+    }
+
+    // The single-reader contract, pinned at `lanes: 1`.
+
+    #[test]
+    fn single_lane_feeds_a_collector_with_a_lone_pipelines_bytes() {
+        let (tx, rx) = channel::bounded::<Vec<u8>>(256);
+        let handle = spawn_multi_lane_ingest(
+            "127.0.0.1:0",
+            mk_pipeline(1_000),
+            tx,
+            LaneOptions::default(),
+        )
+        .unwrap();
+        let to = handle.local_addr();
+        let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
+
+        // Three windows of traffic, plus one hostile datagram.
+        let records: Vec<FlowRecord> = (0..30)
+            .map(|i| record((i / 10) * 1_000 + 100 + i, (i % 10) as u8, 2))
+            .collect();
+        export_netflow(&sender, to, &records, 10_000).unwrap();
+        sender.send_to(b"not an export packet", to).unwrap();
+
+        let report = handle.stop();
+        assert!(report.error.is_none());
+        assert_eq!(report.pipeline.records, 30);
+        assert_eq!(report.pipeline.decode_errors, 1);
+        assert_eq!(report.daemon.records, 30);
+        assert_eq!(report.daemon.late_drops, 0);
+        assert!(report.frames_sent >= 3, "{} frames", report.frames_sent);
+        assert_eq!(report.frames_dropped, 0);
+        let frames: Vec<Vec<u8>> = rx.try_iter().collect();
+
+        // Byte-identical to one pipeline fed the same export packet.
+        let mut pipe = mk_pipeline(1_000)(0);
+        let mut expect: Vec<Vec<u8>> = pipe
+            .push_packet(&flownet::netflow5::encode(&records, 10_000, 0))
+            .iter()
+            .map(Summary::encode)
+            .collect();
+        expect.extend(pipe.finish().0.iter().map(Summary::encode));
+        assert_eq!(frames, expect);
+
+        // The emitted frames reconstruct at a collector.
+        let mut collector = Collector::new(Schema::five_feature(), Config::with_budget(4_096));
+        for frame in &frames {
+            collector.apply_bytes(frame).unwrap();
+        }
+        assert_eq!(collector.stored_windows() as u64, report.frames_sent);
+        assert_eq!(collector.merged(None, 0, u64::MAX).total().packets, 60);
+    }
+
+    #[test]
+    fn single_lane_stop_with_no_traffic_returns_clean_counters() {
+        let (tx, rx) = channel::bounded::<Vec<u8>>(8);
+        let handle = spawn_multi_lane_ingest(
+            "127.0.0.1:0",
+            mk_pipeline(1_000),
+            tx,
+            LaneOptions::default(),
+        )
+        .unwrap();
+        let report = handle.stop();
+        assert!(report.error.is_none());
+        assert_eq!(report.pipeline.packets, 0);
+        assert_eq!(report.frames_sent, 0);
+        assert!(rx.try_recv().is_err(), "no frames were shipped");
+    }
+
+    #[test]
+    fn single_lane_stop_with_a_full_undrained_channel_terminates() {
+        // Regression: a bounded channel smaller than the frame count,
+        // drained only after stop() — the merger must not deadlock in
+        // a blocking send while stop() joins it.
+        let (tx, rx) = channel::bounded::<Vec<u8>>(1);
+        let handle = spawn_multi_lane_ingest(
+            "127.0.0.1:0",
+            mk_pipeline(1_000),
+            tx,
+            LaneOptions::default(),
+        )
+        .unwrap();
+        let to = handle.local_addr();
+        let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
+        // Five windows → five summaries against a capacity of one.
+        let records: Vec<FlowRecord> = (0..5).map(|w| record(w * 1_000 + 100, 1, 1)).collect();
+        export_netflow(&sender, to, &records, 10_000).unwrap();
+        let report = handle.stop();
+        assert_eq!(report.pipeline.records, 5);
+        assert_eq!(
+            report.frames_sent + report.frames_dropped,
+            report.daemon.summaries,
+            "every summary is accounted for"
+        );
+        assert!(report.frames_sent >= 1, "the channel's slot was used");
+        drop(rx);
+    }
+
+    #[test]
+    fn single_lane_dropped_receiver_counts_not_wedges() {
+        let (tx, rx) = channel::bounded::<Vec<u8>>(8);
+        drop(rx);
+        let handle = spawn_multi_lane_ingest(
+            "127.0.0.1:0",
+            mk_pipeline(1_000),
+            tx,
+            LaneOptions::default(),
+        )
+        .unwrap();
+        let to = handle.local_addr();
+        let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
+        export_netflow(&sender, to, &[record(100, 1, 1)], 1_000).unwrap();
+        let report = handle.stop();
+        assert_eq!(report.pipeline.records, 1);
+        assert_eq!(report.frames_sent, 0);
+        assert!(report.frames_dropped >= 1);
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //!   thread per site.
 //! * [`store`] — the on-disk summary database (atomic writes,
 //!   re-validated loads, retention).
-//! * [`net`] — UDP NetFlow ingestion and TCP summary framing over real
-//!   sockets.
+//! * [`net`] — test exporters (records → NetFlow v5 / IPFIX
+//!   datagrams over a UDP socket) and the collector side of TCP
+//!   summary shipping.
 //! * [`control`] — the reverse channel of the acknowledged export
 //!   path: per-frame acks and rebase-requests, version-gated so
 //!   pre-handshake peers interoperate unchanged.
@@ -42,11 +43,12 @@
 //! * [`admission`] — per-exporter token-bucket quotas over a bounded
 //!   exporter table, with live-reloadable knobs shared between the
 //!   ingest loop and the ops endpoint.
-//! * [`lane`] — the multi-lane ingest edge: N `SO_REUSEPORT`
+//! * [`lane`] — the one UDP ingest edge: N `SO_REUSEPORT`
 //!   listen→decode→pipeline lanes (batched `recvmmsg`, lane-local
 //!   admission and template caches, opt-in core pinning) merged
 //!   lane→site only at window close via the paper's structural
-//!   `merge`, so the hot path takes zero cross-lane locks.
+//!   `merge`, so the hot path takes zero cross-lane locks; `lanes = 1`
+//!   is the single-reader case.
 //! * [`mrecv`] — batched UDP receive (`recvmmsg`) behind a reusable
 //!   buffer arena, with a portable single-datagram fallback.
 //! * [`ring`] — the lock-free SPSC ring the portable fallback uses to
@@ -80,7 +82,6 @@ pub mod daemon;
 pub mod faultnet;
 pub mod framing;
 pub mod lane;
-pub mod listen;
 pub mod mrecv;
 pub mod net;
 pub mod ops;
@@ -102,10 +103,9 @@ pub use collector::{Collector, TransferLedger, ViewCacheStats};
 pub use control::{ControlFrame, SlotPos, FEATURE_ACKS};
 pub use daemon::{DaemonConfig, DaemonStats, SiteDaemon, TransferMode};
 pub use framing::{FramedConn, MAX_FRAME};
-pub use lane::{LaneOptions, LaneSnapshot, MultiIngestHandle};
-pub use listen::{
-    spawn_udp_ingest, spawn_udp_ingest_with, IngestGauges, IngestOptions, IngestReport,
-    IngestSnapshot, UdpIngestHandle,
+pub use lane::{
+    spawn_multi_lane_ingest, IngestReport, IngestSnapshot, IngestTelemetry, LaneOptions,
+    LaneSnapshot, MultiIngestHandle,
 };
 pub use mrecv::{BatchReceiver, MAX_RECV_BATCH};
 pub use pipeline::{IngestPipeline, PipelineStats};

@@ -88,7 +88,7 @@ pub struct IngestPipeline {
     stats: PipelineStats,
     /// Per-packet decode latency, when the owner wired a registry.
     decode_hist: Option<Histogram>,
-    /// Per-batch flush latency (one `ingest_stamped_batch` call).
+    /// Per-batch flush latency (one `ingest_prehashed_batch` call).
     flush_hist: Option<Histogram>,
 }
 

@@ -1,6 +1,6 @@
 //! The site-node runtime: one deployable site daemon as a value.
 //!
-//! [`crate::listen`] gives the `UDP → pipeline → summary frames`
+//! [`crate::lane`] gives the `UDP → pipeline → summary frames`
 //! loop; what a *fleet* needs on top is the other half a production
 //! site node runs — a forwarder that ships those frames upstream over
 //! TCP (reconnecting through outages), a stats endpoint, and a
@@ -15,8 +15,10 @@
 //! the final frames upstream, then frees the stats port.
 
 use crate::admission::{AdmissionConfig, AdmissionKnobs};
-use crate::lane::{spawn_multi_lane_ingest, LaneOptions, MultiGaugeView, MultiIngestHandle};
-use crate::listen::{IngestReport, IngestTelemetry};
+use crate::lane::{
+    spawn_multi_lane_ingest, IngestReport, IngestSnapshot, IngestTelemetry, LaneOptions,
+    MultiGaugeView, MultiIngestHandle,
+};
 use crate::ops::{spawn_ops, OpsHandle, OpsRequest, OpsResponse};
 use crate::pipeline::IngestPipeline;
 use crate::{DaemonConfig, DistError, SiteDaemon, TransferMode};
@@ -60,8 +62,8 @@ pub struct SiteNodeConfig {
     /// Max distinct buffered window buckets before oldest-first
     /// shedding (0 = unbounded; live-reloadable).
     pub max_open_windows: u64,
-    /// Independent listen→pipeline lanes (1 = the classic
-    /// single-reader loop; see [`crate::lane`]).
+    /// Independent listen→pipeline lanes (1 = a single reader; see
+    /// [`crate::lane`]).
     pub lanes: usize,
     /// Datagrams pulled per receive syscall (`recvmmsg` batch size).
     pub recv_batch: usize,
@@ -258,7 +260,7 @@ impl SiteRuntime {
     }
 
     /// The ingest loop's live counters.
-    pub fn ingest_snapshot(&self) -> crate::listen::IngestSnapshot {
+    pub fn ingest_snapshot(&self) -> IngestSnapshot {
         self.gauges.snapshot()
     }
 

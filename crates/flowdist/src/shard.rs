@@ -6,21 +6,23 @@
 //! that for parallelism the same way Flowyager scales the structure
 //! network-wide — fan updates across `N` per-core [`FlowTree`]s keyed
 //! by the flow-key hash, and fold the shards with the `merge` operator
-//! when a summary is needed. The shard router reuses the key's
-//! [`flowkey::key_hash`] that the tree index needs anyway, so sharding
+//! when a summary is needed. The one entry point,
+//! [`ShardedTree::par_insert_prehashed_iter`], takes keys already
+//! canonicalized and hashed (the streaming pipeline hashes each record
+//! once at decode time) and routes shards by that carried
+//! [`flowkey::key_hash`], which the tree index needs anyway — sharding
 //! adds zero extra hashing to the hot path.
 //!
 //! Parallel ingest runs on a **persistent worker pool**
 //! ([`crate::worker`]): one long-lived thread per shard draining a
 //! bounded FIFO queue of pre-hashed buckets. The pool spawns on the
-//! first [`ShardedTree::par_insert_batch`] call and lives until the
+//! first batch of at least [`PAR_SPAWN_MIN`] items and lives until the
 //! tree is folded or dropped, so steady-state batches pay one queue
 //! send per shard instead of an OS thread spawn/join per batch. Every
 //! read (`fold`, `total`, `stats`, …) first drains the queues, so the
 //! observable state is always exactly the sequential-ingest state:
 //! per shard there is a single consumer applying buckets in submission
-//! order, which is precisely the order [`ShardedTree::insert_batch`]
-//! applies them.
+//! order, which is precisely the order a pool-less tree applies them.
 //!
 //! The node budget is split evenly across shards, so a folded
 //! `ShardedTree` obeys the same budget (and byte size on the wire) as a
@@ -31,7 +33,7 @@
 //! which keeps per-key error comparable to the unsharded tree.
 
 use crate::worker::WorkerPool;
-use flowkey::{key_hash, FlowKey, Schema};
+use flowkey::{FlowKey, Schema};
 use flowtree_core::{Config, FlowTree, Popularity, Stats};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -48,17 +50,7 @@ pub struct ShardedTree {
     /// Pin worker `i` to core `i` when the pool spawns (opt-in;
     /// best-effort, Linux only).
     pin_workers: bool,
-    /// Per-shard staging for single-record inserts while the pool is
-    /// active: records accumulate lock-cheap and ride the queue as one
-    /// bucket, keeping the per-record path free of per-record
-    /// allocations and channel rendezvous. Always empty when `pool` is
-    /// `None`; flushed before any batch submit or drain.
-    staging: Vec<Mutex<Vec<(u64, FlowKey, Popularity)>>>,
 }
-
-/// Staged single-record inserts per shard before they are submitted to
-/// the worker queue as one bucket.
-const STAGE_LIMIT: usize = 64;
 
 /// Smallest batch that justifies spawning the worker pool: below this,
 /// a pool-less tree applies the batch sequentially, so short-lived or
@@ -70,7 +62,7 @@ impl ShardedTree {
     /// Creates `shards` trees sharing `cfg.node_budget` evenly
     /// (`shards` is clamped to ≥ 1; each shard keeps at least
     /// [`Config::MIN_BUDGET`]). No worker threads start until the
-    /// first [`Self::par_insert_batch`] call.
+    /// first batch of at least [`PAR_SPAWN_MIN`] items.
     pub fn new(schema: Schema, cfg: Config, shards: usize) -> ShardedTree {
         let n = shards.max(1);
         let mut per_shard = cfg;
@@ -83,7 +75,6 @@ impl ShardedTree {
             cfg,
             pool: None,
             pin_workers: false,
-            staging: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
         }
     }
 
@@ -112,23 +103,11 @@ impl ShardedTree {
         (((hash as u128) * (self.shards.len() as u128)) >> 64) as usize
     }
 
-    /// Waits until every staged record and queued bucket has been
-    /// applied; afterwards the shard trees hold exactly the
-    /// sequential-ingest state.
+    /// Waits until every queued bucket has been applied; afterwards
+    /// the shard trees hold exactly the sequential-ingest state.
     fn drain_workers(&self) {
         if let Some(pool) = &self.pool {
-            self.flush_staging(pool);
             pool.drain();
-        }
-    }
-
-    /// Submits every non-empty staging buffer to its shard's queue.
-    fn flush_staging(&self, pool: &WorkerPool) {
-        for (i, stage) in self.staging.iter().enumerate() {
-            let mut staged = stage.lock().expect("staging lock");
-            if !staged.is_empty() {
-                pool.submit(i, std::mem::take(&mut *staged));
-            }
         }
     }
 
@@ -136,102 +115,16 @@ impl ShardedTree {
         self.shards[i].lock().expect("shard tree lock")
     }
 
-    /// Records mass for `key` in its shard. The key is canonicalized
-    /// and hashed exactly once; the hash routes the shard *and* serves
-    /// as the tree index hash. With no pool active this applies
-    /// directly, allocation-free. With a worker pool active the record
-    /// lands in its shard's staging buffer (an uncontended lock, no
-    /// allocation or channel rendezvous per record) and rides the FIFO
-    /// queue as part of one [`STAGE_LIMIT`]-record bucket — per-shard
-    /// program order relative to queued batches is preserved, with one
-    /// budget check per staged bucket like any small batch.
-    pub fn insert(&mut self, key: &FlowKey, pop: Popularity) {
-        let key = self.schema.canonicalize(key);
-        let hash = key_hash(&key);
-        let s = self.shard_of(hash);
-        if let Some(pool) = &self.pool {
-            let mut staged = self.staging[s].lock().expect("staging lock");
-            staged.push((hash, key, pop));
-            if staged.len() >= STAGE_LIMIT {
-                pool.submit(s, std::mem::take(&mut *staged));
-            }
-        } else {
-            self.lock_shard(s).insert_prehashed(key, hash, pop);
-        }
-    }
-
-    /// Canonicalizes, hashes, and buckets key/mass pairs by shard,
-    /// straight from any iterator (no intermediate copy of the input).
-    fn bucketize_iter<'a>(
-        &self,
-        items: impl Iterator<Item = (&'a FlowKey, Popularity)>,
-        len_hint: usize,
-    ) -> Vec<Vec<(u64, FlowKey, Popularity)>> {
-        let n = self.shards.len();
-        let mut buckets: Vec<Vec<(u64, FlowKey, Popularity)>> = (0..n)
-            .map(|_| Vec::with_capacity(len_hint / n + 1))
-            .collect();
-        for (k, p) in items {
-            let k = self.schema.canonicalize(k);
-            let h = key_hash(&k);
-            buckets[self.shard_of(h)].push((h, k, p));
-        }
-        buckets
-    }
-
-    /// Sequential batch ingest: one canonicalize + hash per key, one
-    /// budget check per shard at the end.
-    pub fn insert_batch(&mut self, batch: &[(FlowKey, Popularity)]) {
-        self.drain_workers();
-        let mut buckets = self.bucketize_iter(batch.iter().map(|(k, p)| (k, *p)), batch.len());
-        for (i, bucket) in buckets.iter_mut().enumerate() {
-            if !bucket.is_empty() {
-                self.lock_shard(i).insert_batch_prehashed(bucket);
-            }
-        }
-    }
-
-    /// Parallel batch ingest through the persistent worker pool: the
-    /// batch is canonicalized, hashed, and bucketed by shard on the
-    /// caller's thread, then each non-empty bucket is queued to its
-    /// shard's worker. Returns as soon as the buckets are queued
-    /// (bounded queues give backpressure); any read — `fold`, `total`,
+    /// Ingests items whose keys are **already canonicalized and
+    /// hashed**: routing is pure arithmetic on the carried hash — no
+    /// re-canonicalize, no re-hash per record at flush time. A
+    /// pool-less tree applies batches under [`PAR_SPAWN_MIN`] items
+    /// sequentially; anything else is bucketed by shard on the
+    /// caller's thread and queued to the shard workers (spawned on
+    /// first use), returning as soon as the buckets are queued
+    /// (bounded queues give backpressure). Any read — `fold`, `total`,
     /// [`Self::into_tree`] on window close — drains the queues first,
-    /// so results are always exactly those of [`Self::insert_batch`].
-    pub fn par_insert_batch(&mut self, batch: &[(FlowKey, Popularity)]) {
-        self.par_insert_iter(batch.iter().map(|(k, p)| (k, *p)), batch.len());
-    }
-
-    /// [`Self::par_insert_batch`] over any key/mass iterator — batch
-    /// callers that hold richer tuples (e.g. the daemon's timestamped
-    /// items) feed the shards without copying into a slice first.
-    /// Batches under [`PAR_SPAWN_MIN`] on a pool-less tree apply
-    /// sequentially instead of spawning workers.
-    pub fn par_insert_iter<'a>(
-        &mut self,
-        items: impl Iterator<Item = (&'a FlowKey, Popularity)>,
-        len_hint: usize,
-    ) {
-        if self.shards.len() == 1 || (self.pool.is_none() && len_hint < PAR_SPAWN_MIN) {
-            self.drain_workers();
-            let mut buckets = self.bucketize_iter(items, len_hint);
-            for (i, bucket) in buckets.iter_mut().enumerate() {
-                if !bucket.is_empty() {
-                    self.lock_shard(i).insert_batch_prehashed(bucket);
-                }
-            }
-            return;
-        }
-        let buckets = self.bucketize_iter(items, len_hint);
-        self.dispatch_buckets(buckets);
-    }
-
-    /// [`Self::par_insert_iter`] over items whose keys are **already
-    /// canonicalized and hashed** — the streaming pipeline hashes each
-    /// record once at decode time, so routing here is pure arithmetic
-    /// on the carried hash: no re-canonicalize, no re-hash per record
-    /// at flush time (the shard-degradation root cause the bench rows
-    /// exposed).
+    /// so results never depend on threading.
     pub fn par_insert_prehashed_iter(
         &mut self,
         items: impl Iterator<Item = (u64, FlowKey, Popularity)>,
@@ -277,17 +170,12 @@ impl ShardedTree {
         buckets
     }
 
-    /// Queues per-shard buckets on the worker pool (spawning it on
-    /// first use), after flushing staged single inserts so per-shard
-    /// FIFO order holds.
+    /// Queues per-shard buckets on the worker pool, spawning it on
+    /// first use.
     fn dispatch_buckets(&mut self, buckets: Vec<Vec<(u64, FlowKey, Popularity)>>) {
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::spawn(&self.shards, self.pin_workers));
-        }
-        let pool = self.pool.as_ref().expect("pool just ensured");
-        // Staged single-record inserts precede this batch in program
-        // order — submit them first so per-shard FIFO order holds.
-        self.flush_staging(pool);
+        let pool = self
+            .pool
+            .get_or_insert_with(|| WorkerPool::spawn(&self.shards, self.pin_workers));
         for (i, bucket) in buckets.into_iter().enumerate() {
             if !bucket.is_empty() {
                 pool.submit(i, bucket);
@@ -402,9 +290,6 @@ impl Clone for ShardedTree {
             cfg: self.cfg,
             pool: None,
             pin_workers: self.pin_workers,
-            staging: (0..self.shards.len())
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
         }
     }
 }
@@ -412,6 +297,7 @@ impl Clone for ShardedTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowkey::key_hash;
 
     fn key(s: &str) -> FlowKey {
         s.parse().unwrap()
@@ -433,6 +319,39 @@ mod tests {
             .collect()
     }
 
+    /// Canonicalizes and hashes a batch the way the pipeline does.
+    fn prehashed(batch: &[(FlowKey, Popularity)]) -> Vec<(u64, FlowKey, Popularity)> {
+        let schema = Schema::five_feature();
+        batch
+            .iter()
+            .map(|(k, p)| {
+                let k = schema.canonicalize(k);
+                (key_hash(&k), k, *p)
+            })
+            .collect()
+    }
+
+    fn ingest(st: &mut ShardedTree, items: &[(u64, FlowKey, Popularity)]) {
+        st.par_insert_prehashed_iter(items.iter().copied(), items.len());
+    }
+
+    impl ShardedTree {
+        /// The reference: the same batch boundaries applied on the
+        /// caller's thread, shard by shard, with no pool.
+        fn insert_sequential(&mut self, items: &[(u64, FlowKey, Popularity)]) {
+            let mut buckets = self.bucketize_prehashed(items.iter().copied(), items.len());
+            for (i, bucket) in buckets.iter_mut().enumerate() {
+                self.lock_shard(i).insert_batch_prehashed(bucket);
+            }
+        }
+    }
+
+    fn masses(tree: &FlowTree) -> Vec<(FlowKey, Popularity)> {
+        let mut m: Vec<_> = tree.iter().map(|v| (*v.key, v.comp)).collect();
+        m.sort_by_key(|(k, _)| *k);
+        m
+    }
+
     #[test]
     fn sharded_total_matches_single_tree() {
         let batch = mixed_batch(2_000);
@@ -441,9 +360,10 @@ mod tests {
         for (k, p) in &batch {
             single.insert(k, *p);
         }
+        let items = prehashed(&batch);
         for shards in [1usize, 2, 4, 8] {
             let mut st = ShardedTree::new(schema, Config::with_budget(4_096), shards);
-            st.par_insert_batch(&batch);
+            ingest(&mut st, &items);
             st.validate();
             assert_eq!(st.total(), single.total(), "{shards} shards conserve mass");
             let folded = st.fold();
@@ -454,21 +374,19 @@ mod tests {
 
     #[test]
     fn sequential_and_parallel_ingest_agree_exactly() {
-        let batch = mixed_batch(1_500);
+        let items = prehashed(&mixed_batch(1_500));
         let schema = Schema::five_feature();
         let mut a = ShardedTree::new(schema, Config::with_budget(2_048), 4);
         let mut b = ShardedTree::new(schema, Config::with_budget(2_048), 4);
-        a.insert_batch(&batch);
-        b.par_insert_batch(&batch);
+        a.insert_sequential(&items);
+        ingest(&mut b, &items);
+        assert!(b.pool.is_some(), "a large batch runs on the pool");
         let (fa, fb) = (a.fold(), b.fold());
         assert_eq!(fa.total(), fb.total());
         assert_eq!(fa.len(), fb.len());
-        let mut ma: Vec<_> = fa.iter().map(|v| (*v.key, v.comp)).collect();
-        let mut mb: Vec<_> = fb.iter().map(|v| (*v.key, v.comp)).collect();
-        ma.sort_by_key(|(k, _)| *k);
-        mb.sort_by_key(|(k, _)| *k);
         assert_eq!(
-            ma, mb,
+            masses(&fa),
+            masses(&fb),
             "shard-local determinism is independent of threading"
         );
     }
@@ -477,13 +395,13 @@ mod tests {
     fn workers_survive_many_batches_and_join_on_into_tree() {
         // Exercise the persistent pool across many submissions (the
         // scoped-thread path this replaced spawned per batch).
-        let batch = mixed_batch(900);
+        let items = prehashed(&mixed_batch(900));
         let schema = Schema::five_feature();
         let mut st = ShardedTree::new(schema, Config::with_budget(2_048), 3);
         let mut seq = ShardedTree::new(schema, Config::with_budget(2_048), 3);
-        for chunk in batch.chunks(64) {
-            st.par_insert_batch(chunk);
-            seq.insert_batch(chunk);
+        for chunk in items.chunks(64) {
+            ingest(&mut st, chunk);
+            seq.insert_sequential(chunk);
         }
         // Reads interleaved with queued work still agree (drain-first).
         assert_eq!(st.total(), seq.total());
@@ -494,71 +412,56 @@ mod tests {
     }
 
     #[test]
-    fn mixed_single_and_batch_inserts_stay_ordered() {
-        let batch = mixed_batch(400);
+    fn single_items_queue_behind_batches_in_order() {
+        // One-item batches (the daemon's per-record path) reach a live
+        // pool through the same FIFO queues as large batches.
+        let items = prehashed(&mixed_batch(400));
         let schema = Schema::five_feature();
         let mut st = ShardedTree::new(schema, Config::with_budget(1_024), 4);
         let mut seq = ShardedTree::new(schema, Config::with_budget(1_024), 4);
-        for (i, chunk) in batch.chunks(50).enumerate() {
-            st.par_insert_batch(chunk);
-            seq.insert_batch(chunk);
-            let (k, p) = &batch[i];
-            st.insert(k, *p);
-            seq.insert(k, *p);
+        for (i, chunk) in items.chunks(50).enumerate() {
+            ingest(&mut st, chunk);
+            seq.insert_sequential(chunk);
+            ingest(&mut st, &items[i..=i]);
+            seq.insert_sequential(&items[i..=i]);
         }
         let (fa, fb) = (st.fold(), seq.fold());
         assert_eq!(fa.total(), fb.total());
         assert_eq!(fa.len(), fb.len());
+        assert_eq!(masses(&fa), masses(&fb));
     }
 
     #[test]
-    fn prehashed_batches_agree_with_rehashing_paths() {
+    fn single_shard_matches_a_plain_tree_byte_for_byte() {
+        // The carried hash is the tree index's own hash: one shard fed
+        // pre-hashed items is a plain tree fed the raw batch.
         let batch = mixed_batch(1_500);
         let schema = Schema::five_feature();
-        for shards in [1usize, 4] {
-            let mut a = ShardedTree::new(schema, Config::with_budget(2_048), shards);
-            let mut b = ShardedTree::new(schema, Config::with_budget(2_048), shards);
-            a.par_insert_batch(&batch);
-            let prehashed: Vec<_> = batch
-                .iter()
-                .map(|(k, p)| {
-                    let k = schema.canonicalize(k);
-                    (key_hash(&k), k, *p)
-                })
-                .collect();
-            b.par_insert_prehashed_iter(prehashed.into_iter(), batch.len());
-            let (fa, fb) = (a.fold(), b.fold());
-            assert_eq!(fa.total(), fb.total());
-            assert_eq!(fa.len(), fb.len());
-            let mut ma: Vec<_> = fa.iter().map(|v| (*v.key, v.comp)).collect();
-            let mut mb: Vec<_> = fb.iter().map(|v| (*v.key, v.comp)).collect();
-            ma.sort_by_key(|(k, _)| *k);
-            mb.sort_by_key(|(k, _)| *k);
-            assert_eq!(
-                ma, mb,
-                "{shards} shards: prehashed routing is a pure refactor"
-            );
-        }
+        let mut plain = FlowTree::new(schema, Config::with_budget(2_048));
+        plain.insert_batch(&batch);
+        let mut st = ShardedTree::new(schema, Config::with_budget(2_048), 1);
+        ingest(&mut st, &prehashed(&batch));
+        assert_eq!(st.into_tree().encode(), plain.encode());
     }
 
     #[test]
     fn clone_quiesces_and_detaches_from_the_pool() {
-        let batch = mixed_batch(600);
+        let items = prehashed(&mixed_batch(600));
         let schema = Schema::five_feature();
         let mut st = ShardedTree::new(schema, Config::with_budget(2_048), 4);
-        st.par_insert_batch(&batch);
+        ingest(&mut st, &items);
         let snap = st.clone();
         // Mutating the original must not leak into the clone.
-        st.par_insert_batch(&batch);
+        ingest(&mut st, &items);
         assert_eq!(snap.total().packets * 2, st.total().packets);
     }
 
     #[test]
     fn into_tree_single_shard_is_free_of_merging() {
-        let batch = mixed_batch(500);
+        let items = prehashed(&mixed_batch(500));
         let schema = Schema::five_feature();
         let mut st = ShardedTree::new(schema, Config::with_budget(1_024), 1);
-        st.insert_batch(&batch);
+        ingest(&mut st, &items);
         let direct = st.clone().fold();
         let tree = st.into_tree();
         assert_eq!(tree.total(), direct.total());

@@ -1,8 +1,8 @@
 //! Persistent per-shard ingest workers.
 //!
-//! PR 1's `ShardedTree::par_insert_batch` spawned one scoped OS thread
-//! per shard *per batch*; at daemon batch rates (thousands of batches
-//! per window) the spawn/join cost dominates. A [`WorkerPool`] instead
+//! Spawning one scoped OS thread per shard *per batch* does not pay:
+//! at daemon batch rates (thousands of batches per window) the
+//! spawn/join cost dominates. A [`WorkerPool`] instead
 //! keeps one long-lived thread per shard, fed through a bounded
 //! per-shard queue of pre-hashed buckets. Each worker owns exclusive
 //! responsibility for one shard tree (shared as `Arc<Mutex<FlowTree>>`

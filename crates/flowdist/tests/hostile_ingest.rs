@@ -13,11 +13,11 @@
 
 use flowdist::faultnet::HostileExporter;
 use flowdist::{
-    AdmissionConfig, AdmissionControl, AdmissionKnobs, DaemonConfig, IngestOptions, IngestPipeline,
-    SiteDaemon, TransferMode,
+    spawn_multi_lane_ingest, AdmissionConfig, AdmissionControl, AdmissionKnobs, DaemonConfig,
+    IngestPipeline, LaneOptions, MultiIngestHandle, SiteDaemon, TransferMode,
 };
 use flownet::DecoderLimits;
-use std::net::{IpAddr, Ipv4Addr, UdpSocket};
+use std::net::{IpAddr, Ipv4Addr, SocketAddr, UdpSocket};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -173,14 +173,54 @@ fn exporter_table_is_bounded_under_address_flood() {
     assert!(ac.stats().exporters_evicted > 0);
 }
 
+/// The ingest edge at `lanes` lanes — one lane is the single-reader
+/// loop; more lanes share one socket through the exporter-hashed
+/// fanout rings — sharing `knobs` and a drained frames channel, so
+/// backpressure never wedges the loop.
+fn spawn_edge(
+    lanes: usize,
+    limits: DecoderLimits,
+    receive_buffer_bytes: Option<usize>,
+    knobs: &Arc<AdmissionKnobs>,
+) -> MultiIngestHandle {
+    let (tx, rx) = crossbeam::channel::bounded::<Vec<u8>>(64);
+    // The drain thread exits once the engine drops its sender.
+    std::thread::spawn(move || while rx.recv().is_ok() {});
+    spawn_multi_lane_ingest(
+        "127.0.0.1:0",
+        |_lane| IngestPipeline::with_limits(daemon(1_000), 64, limits),
+        tx,
+        LaneOptions {
+            lanes,
+            reuseport: false,
+            receive_buffer_bytes,
+            knobs: Arc::clone(knobs),
+            ..LaneOptions::default()
+        },
+    )
+    .expect("bind")
+}
+
+/// Exporter sockets on distinct loopback addresses, so fanout spreads
+/// them over lanes by source IP (falls back to 127.0.0.1 where the
+/// platform routes only that address).
+fn exporters(n: u8) -> Vec<UdpSocket> {
+    (1..=n)
+        .map(|i| {
+            UdpSocket::bind(SocketAddr::from(([127, 0, 0, i], 0)))
+                .or_else(|_| UdpSocket::bind("127.0.0.1:0"))
+                .unwrap()
+        })
+        .collect()
+}
+
 /// The full UDP loop under a seeded hostile mix with tight quotas:
 /// the accounting identity `datagrams == packets + decode_errors +
-/// quota_packet_drops` holds at the live gauges, templates stay
+/// quota_packet_drops` holds per lane and summed, templates stay
 /// capped, and the loop drains cleanly. (Loopback UDP may drop under
 /// pressure, so the identity is pinned against *received* datagrams,
 /// which is immune to socket loss.)
-#[test]
-fn udp_loop_accounts_every_datagram_exactly_once() {
+fn accounts_every_datagram_exactly_once(lanes: usize) {
     let knobs = Arc::new(AdmissionKnobs::new(
         AdmissionConfig {
             packet_rate: 200,
@@ -190,34 +230,21 @@ fn udp_loop_accounts_every_datagram_exactly_once() {
         },
         8,
     ));
-    let pipeline = IngestPipeline::with_limits(daemon(1_000), 64, tight_limits());
-    let (tx, rx) = crossbeam::channel::bounded::<Vec<u8>>(64);
-    // Drain frames so backpressure never wedges the loop.
-    let drain = std::thread::spawn(move || while rx.recv().is_ok() {});
-    let handle = flowdist::spawn_udp_ingest_with(
-        "127.0.0.1:0",
-        pipeline,
-        tx,
-        IngestOptions {
-            receive_buffer_bytes: Some(1 << 20),
-            knobs: Arc::clone(&knobs),
-            telemetry: Default::default(),
-        },
-    )
-    .expect("bind");
+    let handle = spawn_edge(lanes, tight_limits(), Some(1 << 20), &knobs);
     let addr = handle.local_addr();
-    let gauges = handle.gauges();
+    let view = handle.view();
 
     #[cfg(target_os = "linux")]
     assert!(
-        gauges.snapshot().recv_buffer_bytes > 0,
+        view.snapshot().recv_buffer_bytes > 0,
         "achieved SO_RCVBUF surfaced"
     );
 
-    let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
+    let senders = exporters(4);
     let mut gen = HostileExporter::new(0xFEED_F00D, 1_000_000);
     let sent = 2_000u64;
     for i in 0..sent {
+        let sender = &senders[i as usize % senders.len()];
         sender.send_to(&gen.next_packet(), addr).unwrap();
         // Pace a little every few packets so loopback loss stays rare
         // and the quota actually engages across refill intervals.
@@ -231,7 +258,7 @@ fn udp_loop_accounts_every_datagram_exactly_once() {
     let mut last = 0u64;
     loop {
         std::thread::sleep(Duration::from_millis(100));
-        let now = gauges.snapshot().datagrams;
+        let now = view.snapshot().datagrams;
         if (now == last && now > 0) || Instant::now() > deadline {
             break;
         }
@@ -239,8 +266,15 @@ fn udp_loop_accounts_every_datagram_exactly_once() {
     }
 
     let report = handle.stop();
-    drop(drain); // rx side: sender gone, thread exits on its own
     assert!(report.error.is_none(), "loop survived: {:?}", report.error);
+    for i in 0..view.lanes() {
+        let l = view.lane(i);
+        assert_eq!(
+            l.datagrams,
+            l.packets + l.decode_errors + l.quota_packet_drops,
+            "lane {i}: every datagram in exactly one counter: {l:?}"
+        );
+    }
     assert_eq!(
         report.datagrams,
         report.pipeline.packets + report.pipeline.decode_errors + report.admission.packet_drops,
@@ -248,7 +282,7 @@ fn udp_loop_accounts_every_datagram_exactly_once() {
     );
     assert!(report.datagrams > 0, "traffic arrived");
     assert!(
-        report.decoder.templates <= 64, // v9 cap + IPFIX cap
+        report.decoder.templates <= 64 * lanes, // v9 cap + IPFIX cap per lane
         "template cap held under flood: {}",
         report.decoder.templates
     );
@@ -259,10 +293,19 @@ fn udp_loop_accounts_every_datagram_exactly_once() {
     );
 }
 
-/// Live knob reload mid-stream: the loop reads the shared knobs per
-/// datagram, so storing a zero quota un-throttles without a restart.
 #[test]
-fn knob_reload_takes_effect_without_restart() {
+fn udp_loop_accounts_every_datagram_exactly_once() {
+    accounts_every_datagram_exactly_once(1);
+}
+
+#[test]
+fn udp_loop_accounts_every_datagram_exactly_once_across_four_fanout_lanes() {
+    accounts_every_datagram_exactly_once(4);
+}
+
+/// Live knob reload mid-stream: every lane reads the shared knobs per
+/// datagram, so storing a zero quota un-throttles without a restart.
+fn knob_reload_takes_effect(lanes: usize) {
     let knobs = Arc::new(AdmissionKnobs::new(
         AdmissionConfig {
             packet_rate: 1, // throttle hard
@@ -271,22 +314,9 @@ fn knob_reload_takes_effect_without_restart() {
         },
         0,
     ));
-    let pipeline = IngestPipeline::with_limits(daemon(1_000), 64, DecoderLimits::default());
-    let (tx, rx) = crossbeam::channel::bounded::<Vec<u8>>(64);
-    let drain = std::thread::spawn(move || while rx.recv().is_ok() {});
-    let handle = flowdist::spawn_udp_ingest_with(
-        "127.0.0.1:0",
-        pipeline,
-        tx,
-        IngestOptions {
-            receive_buffer_bytes: None,
-            knobs: Arc::clone(&knobs),
-            telemetry: Default::default(),
-        },
-    )
-    .expect("bind");
+    let handle = spawn_edge(lanes, DecoderLimits::default(), None, &knobs);
     let addr = handle.local_addr();
-    let gauges = handle.gauges();
+    let view = handle.view();
     let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
     let mut gen = HostileExporter::new(7, 1_000_000);
 
@@ -296,33 +326,42 @@ fn knob_reload_takes_effect_without_restart() {
         sender.send_to(pkt, addr).unwrap();
     }
     let deadline = Instant::now() + Duration::from_secs(5);
-    while gauges.snapshot().quota_packet_drops == 0 && Instant::now() < deadline {
+    while view.snapshot().quota_packet_drops == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
     }
-    let throttled = gauges.snapshot();
+    let throttled = view.snapshot();
     assert!(throttled.quota_packet_drops > 0, "phase 1 throttled");
 
     // Reload: lift the quota entirely (0 = unlimited).
     knobs.store(AdmissionConfig::default());
-    let drops_before = gauges.snapshot().quota_packet_drops;
+    let drops_before = view.snapshot().quota_packet_drops;
     let valid = flownet::netflow5::encode(&[flowrecord(1_000_500)], 1_002_000, 1);
     let mut accepted = false;
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
-        let before = gauges.snapshot().packets;
+        let before = view.snapshot().packets;
         sender.send_to(&valid, addr).unwrap();
         std::thread::sleep(Duration::from_millis(50));
-        let s = gauges.snapshot();
+        let s = view.snapshot();
         if s.packets > before {
             accepted = true;
             break;
         }
     }
     let report = handle.stop();
-    drop(drain);
     assert!(accepted, "post-reload packets flow");
     assert_eq!(
         report.admission.packet_drops, drops_before,
         "no further quota drops after reload"
     );
+}
+
+#[test]
+fn knob_reload_takes_effect_without_restart() {
+    knob_reload_takes_effect(1);
+}
+
+#[test]
+fn knob_reload_takes_effect_without_restart_across_four_fanout_lanes() {
+    knob_reload_takes_effect(4);
 }

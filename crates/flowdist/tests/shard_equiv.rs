@@ -1,8 +1,12 @@
 //! Property tests: sharded parallel ingest followed by the paper's
 //! `merge` fold is equivalent to single-tree ingest of the same trace.
+//!
+//! The sharded tree takes keys already canonicalized and hashed (the
+//! pipeline hashes each record once at decode time); the tests do that
+//! step themselves in [`prehashed`].
 
 use flowdist::ShardedTree;
-use flowkey::{FlowKey, Schema};
+use flowkey::{key_hash, FlowKey, Schema};
 use flowtree_core::{Config, Estimator, FlowTree, Popularity};
 use proptest::prelude::*;
 
@@ -19,6 +23,71 @@ fn arb_host_key() -> impl Strategy<Value = FlowKey> {
 
 fn arb_pop() -> impl Strategy<Value = Popularity> {
     (1i64..50, 1i64..2000).prop_map(|(p, b)| Popularity::new(p, b, 1))
+}
+
+/// Canonicalizes and hashes a trace the way the pipeline does.
+fn prehashed(inserts: &[(FlowKey, Popularity)]) -> Vec<(u64, FlowKey, Popularity)> {
+    let schema = Schema::five_feature();
+    inserts
+        .iter()
+        .map(|(k, p)| {
+            let k = schema.canonicalize(k);
+            (key_hash(&k), k, *p)
+        })
+        .collect()
+}
+
+fn ingest(tree: &mut ShardedTree, inserts: &[(FlowKey, Popularity)]) {
+    tree.par_insert_prehashed_iter(prehashed(inserts).into_iter(), inserts.len());
+}
+
+/// What `shards` shards compute without any worker thread: per-shard
+/// trees with the split budget, each sub-batch routed by the
+/// multiply-shift of its key hash and applied on this thread, folded
+/// into one full-budget tree with the paper's `merge`.
+struct SequentialShards {
+    shards: Vec<FlowTree>,
+    schema: Schema,
+    cfg: Config,
+}
+
+impl SequentialShards {
+    fn new(schema: Schema, cfg: Config, shards: usize) -> SequentialShards {
+        let mut per_shard = cfg;
+        per_shard.node_budget = (cfg.node_budget / shards).max(Config::MIN_BUDGET);
+        SequentialShards {
+            shards: (0..shards)
+                .map(|_| FlowTree::new(schema, per_shard))
+                .collect(),
+            schema,
+            cfg,
+        }
+    }
+
+    fn insert_batch(&mut self, inserts: &[(FlowKey, Popularity)]) {
+        let n = self.shards.len();
+        let mut buckets = vec![Vec::new(); n];
+        for item in prehashed(inserts) {
+            buckets[((item.0 as u128 * n as u128) >> 64) as usize].push(item);
+        }
+        for (tree, bucket) in self.shards.iter_mut().zip(&mut buckets) {
+            tree.insert_batch_prehashed(bucket);
+        }
+    }
+
+    fn total(&self) -> Popularity {
+        self.shards
+            .iter()
+            .fold(Popularity::ZERO, |acc, t| acc + t.total())
+    }
+
+    fn fold(&self) -> FlowTree {
+        let mut out = FlowTree::new(self.schema, self.cfg);
+        for tree in &self.shards {
+            out.merge(tree).unwrap();
+        }
+        out
+    }
 }
 
 fn masses(tree: &FlowTree) -> Vec<(FlowKey, Popularity)> {
@@ -48,7 +117,7 @@ proptest! {
             single.insert(k, *p);
         }
         let mut sharded = ShardedTree::new(schema, cfg, shards);
-        sharded.par_insert_batch(&inserts);
+        ingest(&mut sharded, &inserts);
         sharded.validate();
         let folded = sharded.fold();
         folded.validate();
@@ -60,7 +129,7 @@ proptest! {
     /// arbitrary sub-batches queued to the long-lived shard workers
     /// (with reads interleaved to force drains mid-stream), and the
     /// drained fold on window close is *byte-identical* in shape to
-    /// the sequential `insert_batch` path over the same sub-batches.
+    /// the same shards applied sequentially over the same sub-batches.
     #[test]
     fn worker_pool_drain_on_close_matches_sequential(
         inserts in proptest::collection::vec((arb_host_key(), arb_pop()), 1..300),
@@ -71,9 +140,9 @@ proptest! {
         let schema = Schema::five_feature();
         let cfg = Config::with_budget(budget);
         let mut par = ShardedTree::new(schema, cfg, shards);
-        let mut seq = ShardedTree::new(schema, cfg, shards);
+        let mut seq = SequentialShards::new(schema, cfg, shards);
         for (i, batch) in inserts.chunks(chunk).enumerate() {
-            par.par_insert_batch(batch);
+            ingest(&mut par, batch);
             seq.insert_batch(batch);
             if i % 3 == 0 {
                 // A mid-stream read must drain the queues and observe
@@ -83,7 +152,7 @@ proptest! {
         }
         // "Window close": fold after a clean drain + worker join.
         let folded_par = par.into_tree();
-        let folded_seq = seq.into_tree();
+        let folded_seq = seq.fold();
         folded_par.validate();
         prop_assert_eq!(folded_par.total(), folded_seq.total());
         prop_assert_eq!(folded_par.len(), folded_seq.len());
@@ -109,7 +178,7 @@ proptest! {
         let schema = Schema::five_feature();
         let cfg = Config::with_budget(budget);
         let mut sharded = ShardedTree::new(schema, cfg, shards);
-        sharded.par_insert_batch(&inserts);
+        ingest(&mut sharded, &inserts);
         sharded.validate();
         let folded = sharded.into_tree();
         folded.validate();
@@ -164,7 +233,7 @@ fn sharded_zipf_trace_folds_cleanly() {
     }
     for shards in [2usize, 4] {
         let mut st = ShardedTree::new(schema, tree_cfg, shards);
-        st.par_insert_batch(&batch);
+        ingest(&mut st, &batch);
         st.validate();
         let folded = st.into_tree();
         folded.validate();

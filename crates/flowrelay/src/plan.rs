@@ -61,7 +61,9 @@ pub struct Routed {
     pub output: QueryOutput,
     /// Which tier answered.
     pub route: Route,
-    /// Scope sites with no live data anywhere in the hierarchy.
+    /// Scope sites with no live data anywhere in the hierarchy — and,
+    /// for `bysite`, sites the answering node keeps no per-site tree
+    /// for (a relay above the leaves stores only aggregates).
     pub missing: Vec<u16>,
     /// Per-window coverage gaps at the consulted tier(s): scope sites
     /// that have data in range but were **not** folded into a
@@ -299,43 +301,52 @@ impl<'a> QueryRouter<'a> {
     }
 
     /// Per-site breakdown: one row per requested site, estimated at
-    /// its owning relay (zero for sites with no data), ranked like the
-    /// flat engine's `bysite`.
+    /// its owning relay (zero for a stored site with no data in
+    /// range), ranked like the flat engine's `bysite`. A site whose
+    /// owner keeps no per-site tree for it — a dead site, or any site
+    /// asked of a node that stores only aggregates — gets no row and
+    /// is reported in [`Routed::missing`] instead.
     fn run_bysite(&self, pattern: &flowkey::FlowKey, scope: &Scope) -> Routed {
         let wanted = match &scope.sites {
             Some(_) => self.requested_sites(scope),
             None => self.live_sites().into_iter().collect(),
         };
         let live = self.live_sites();
-        let missing: Vec<u16> = wanted
-            .iter()
-            .copied()
-            .filter(|s| !live.contains(s))
-            .collect();
+        let mut missing: Vec<u16> = Vec::new();
         let mut relays: Vec<usize> = Vec::new();
         let mut parts: Vec<(usize, Vec<u16>)> = Vec::new();
         let mut rows: Vec<Row> = Vec::new();
         let mut total = 0.0f64;
         let mut per_site: Vec<(u16, PopEst)> = Vec::new();
+        let mut stored: BTreeMap<usize, Vec<u16>> = BTreeMap::new();
         for &site in &wanted {
-            let est = match self.topo.owner_of(site) {
-                Some(owner) => {
-                    if !relays.contains(&owner) {
-                        relays.push(owner);
-                    }
-                    match parts.iter_mut().find(|(i, _)| *i == owner) {
-                        Some((_, sites)) => sites.push(site),
-                        None => parts.push((owner, vec![site])),
-                    }
-                    self.relays[owner].collector().query(
-                        pattern,
-                        Some(&[site]),
-                        scope.from_ms,
-                        scope.to_ms,
-                    )
-                }
-                None => PopEst::ZERO,
+            let owner = self
+                .topo
+                .owner_of(site)
+                .filter(|_| live.contains(&site))
+                .filter(|&owner| {
+                    stored
+                        .entry(owner)
+                        .or_insert_with(|| self.relays[owner].collector().sites())
+                        .contains(&site)
+                });
+            let Some(owner) = owner else {
+                missing.push(site);
+                continue;
             };
+            if !relays.contains(&owner) {
+                relays.push(owner);
+            }
+            match parts.iter_mut().find(|(i, _)| *i == owner) {
+                Some((_, sites)) => sites.push(site),
+                None => parts.push((owner, vec![site])),
+            }
+            let est = self.relays[owner].collector().query(
+                pattern,
+                Some(&[site]),
+                scope.from_ms,
+                scope.to_ms,
+            );
             total += est.get(Metric::Packets);
             per_site.push((site, est));
         }

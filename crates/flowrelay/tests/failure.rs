@@ -406,7 +406,7 @@ fn hostile_v3_frames_are_rejected_and_counted_at_the_relay() {
 
 mod tcp_error_paths {
     use super::*;
-    use flowdist::net::{read_frame, write_frame, MAX_FRAME};
+    use flowdist::framing::{read_frame, write_frame, MAX_FRAME};
     use std::io::Write as _;
     use std::net::{TcpListener, TcpStream};
 
@@ -552,7 +552,7 @@ mod tcp_error_paths {
 
 #[test]
 fn pipelined_query_frames_survive_the_readers_read_ahead() {
-    use flowdist::net::{read_frame, write_frame};
+    use flowdist::framing::{read_frame, write_frame};
     use std::io::{BufReader, Write as _};
     use std::net::{TcpListener, TcpStream};
 

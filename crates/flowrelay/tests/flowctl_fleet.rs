@@ -212,6 +212,95 @@ fn spec_booted_fleet_answers_identically_to_manual_wiring() {
     }
 }
 
+/// The table rows of a rendered answer: (estimate, key) per line.
+fn table_rows(body: &str) -> Vec<(f64, String)> {
+    body.lines()
+        .filter(|l| l.contains('%'))
+        .map(|l| {
+            let mut cols = l.split_whitespace();
+            let est = cols.next().unwrap().parse().unwrap();
+            (est, cols.skip(1).collect::<Vec<_>>().join(" "))
+        })
+        .collect()
+}
+
+/// `bysite` needs per-site trees, which only the leaf relays keep. On
+/// a socketed three-tier fleet the root names the sites it cannot
+/// break down as missing — never a zero row — while the owning leaf
+/// still returns the real per-site counts.
+#[test]
+fn bysite_at_the_root_reports_missing_sites_while_the_leaf_answers() {
+    let topo = flowrelay::RelayTopology::three_tier(4, 2, 1);
+    assert_eq!(topo.depth_of(topo.owner_of(0).unwrap()), 2, "three tiers");
+    let mut text = String::from(
+        "[defaults]\nlinger-ms = 100\ndrain-every-ms = 50\nwindow-ms = 2000\nbatch = 32\n",
+    );
+    for site in 0..4 {
+        let owner = &topo.relays[topo.owner_of(site).unwrap()].name;
+        text.push_str(&format!("[site {site}]\nupstream = {owner}\n"));
+    }
+    for r in &topo.relays {
+        text.push_str(&format!("[relay {}]\nagg-site = {}\n", r.name, r.agg_site));
+        if !r.sites.is_empty() {
+            let list: Vec<String> = r.sites.iter().map(u16::to_string).collect();
+            text.push_str(&format!("sites = {}\n", list.join(",")));
+        }
+        if let Some(p) = &r.parent {
+            text.push_str(&format!("parent = {p}\n"));
+        }
+    }
+    let spec = FleetSpec::parse(&text).expect("spec parses");
+    let fleet = Fleet::from_spec(&spec);
+    let now_ms = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .unwrap()
+        .as_millis() as u64;
+    let sender = UdpSocket::bind("127.0.0.1:0").expect("udp bind");
+    send_traffic(&sender, &fleet, now_ms, 2_000, 300);
+    // Draining the sites flushes every window upstream; each site
+    // exported 300 records of 1..=5 packets, 900 packets in all.
+    for site in fleet.sites {
+        assert_eq!(site.drain().abandoned, 0, "site flushed everything");
+    }
+    let root = &fleet.relays[0];
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !pop(root.query_addr()).contains("popularity: 3600 packets") {
+        assert!(Instant::now() < deadline, "root never converged");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let ask = |rt: &NodeRuntime, q: &str| {
+        let mut conn = TcpStream::connect(rt.query_addr()).expect("connect query");
+        query_remote(&mut conn, q)
+            .expect("transport ok")
+            .expect("valid query")
+    };
+
+    let at_root = ask(root, "bysite src=0.0.0.0/0 sites=0,1,3");
+    assert!(at_root.contains("missing: [0, 1, 3]"), "{at_root}");
+    assert!(table_rows(&at_root).is_empty(), "no zero rows: {at_root}");
+
+    let leaf = fleet
+        .relays
+        .iter()
+        .find(|r| r.name() == topo.relays[topo.owner_of(0).unwrap()].name)
+        .expect("leaf of site 0");
+    let at_leaf = ask(leaf, "bysite src=0.0.0.0/0 sites=0,1,3");
+    assert!(
+        at_leaf.contains("missing: [3]"),
+        "site 3 lives elsewhere: {at_leaf}"
+    );
+    let rows = table_rows(&at_leaf);
+    assert_eq!(rows.len(), 2, "{at_leaf}");
+    for (site, (est, key)) in [0, 1].iter().zip(&rows) {
+        assert_eq!(*est, 900.0, "{at_leaf}");
+        assert!(key.ends_with(&format!("site={site}")), "{at_leaf}");
+    }
+
+    for rt in fleet.relays.into_iter().rev() {
+        rt.shutdown();
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Binary: check + smoke against the checked-in example spec
 // ---------------------------------------------------------------------------

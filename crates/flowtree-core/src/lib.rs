@@ -71,8 +71,6 @@ mod hasher;
 mod pop;
 mod query;
 mod render;
-#[cfg(feature = "serde")]
-mod serde_impl;
 mod table;
 mod tree;
 

@@ -1881,9 +1881,8 @@ impl FlowTree {
         Some(nid)
     }
 
-    /// Rebuilds a tree from `(key, comp)` masses (used by serde and the
-    /// trusted decode path). Keys are canonicalized; masses at identical
-    /// keys accumulate.
+    /// Rebuilds a tree from `(key, comp)` masses. Keys are
+    /// canonicalized; masses at identical keys accumulate.
     pub fn from_masses<I>(schema: Schema, cfg: Config, masses: I) -> FlowTree
     where
         I: IntoIterator<Item = (FlowKey, Popularity)>,

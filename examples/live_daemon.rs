@@ -1,16 +1,20 @@
 //! A live Flowtree daemon fed by real NetFlow v5 over UDP loopback.
 //!
 //! Exactly the Fig. 1 edge: a "router" thread exports NetFlow v5
-//! datagrams to 127.0.0.1; the daemon thread receives them on a UDP
-//! socket, decodes, summarizes into windows, and the main thread plays
-//! collector — all over real sockets.
+//! datagrams to 127.0.0.1; the site's one-lane ingest edge receives
+//! them on a UDP socket, decodes, summarizes into windows and ships
+//! summary frames, and the main thread plays collector — all over real
+//! sockets.
 //!
 //! ```sh
 //! cargo run --release --example live_daemon
 //! ```
 
-use flowdist::net::{export_netflow, NetflowListener};
-use flowdist::{Collector, DaemonConfig, SiteDaemon, TransferMode};
+use flowdist::net::export_netflow;
+use flowdist::{
+    spawn_multi_lane_ingest, Collector, DaemonConfig, IngestPipeline, LaneOptions, SiteDaemon,
+    TransferMode,
+};
 use flownet::FlowRecord;
 use flowtrace::{profile, TraceGen};
 use flowtree::{Config, Schema};
@@ -21,12 +25,24 @@ fn main() {
     let schema = Schema::five_feature();
     let tree_cfg = Config::with_budget(4_096);
 
-    // Daemon side: bind an ephemeral UDP port.
-    let mut listener = NetflowListener::bind("127.0.0.1:0").expect("bind");
-    listener
-        .set_timeout(Duration::from_millis(200))
-        .expect("timeout");
-    let addr = listener.local_addr().expect("addr");
+    // Daemon side: one ingest lane on an ephemeral UDP port.
+    let mut daemon_cfg = DaemonConfig::new(1);
+    daemon_cfg.window_ms = 500;
+    daemon_cfg.schema = schema;
+    daemon_cfg.tree = tree_cfg;
+    daemon_cfg.transfer = TransferMode::Full;
+    let (frames_tx, frames) = crossbeam::channel::bounded::<Vec<u8>>(256);
+    let edge = spawn_multi_lane_ingest(
+        "127.0.0.1:0",
+        |_lane| IngestPipeline::new(SiteDaemon::new(daemon_cfg), 1_024),
+        frames_tx,
+        LaneOptions {
+            lanes: 1,
+            ..LaneOptions::default()
+        },
+    )
+    .expect("bind");
+    let addr = edge.local_addr();
     println!("flowtree daemon listening for NetFlow v5 on {addr}");
 
     // Router side: generate flows and export them in a thread.
@@ -58,37 +74,31 @@ fn main() {
         batch.extend(cache.drain());
         flush(&mut batch, &mut datagrams);
         println!("router: exported flows in {datagrams} datagrams");
+        datagrams as u64
     });
 
-    // Daemon loop: receive until the exporter finishes and the socket
-    // stays quiet.
-    let mut daemon_cfg = DaemonConfig::new(1);
-    daemon_cfg.window_ms = 500;
-    daemon_cfg.schema = schema;
-    daemon_cfg.tree = tree_cfg;
-    daemon_cfg.transfer = TransferMode::Full;
-    let mut daemon = SiteDaemon::new(daemon_cfg);
+    // Collector side: apply frames as the edge ships closed windows;
+    // stop the edge (socket drained, open windows flushed) once every
+    // exported datagram has arrived or the socket stays quiet.
     let mut collector = Collector::new(schema, tree_cfg);
-    let mut quiet = 0;
-    while quiet < 5 {
-        match listener.poll_once().expect("recv") {
-            Some(records) => {
-                quiet = 0;
-                for r in records {
-                    for summary in daemon.ingest_record(&r) {
-                        collector.apply_bytes(&summary.encode()).expect("apply");
-                    }
-                }
-            }
-            None => quiet += 1,
+    let exported = exporter.join().expect("exporter thread");
+    let view = edge.view();
+    let (mut seen, mut quiet) = (0, 0);
+    while view.snapshot().datagrams < exported && quiet < 5 {
+        std::thread::sleep(Duration::from_millis(200));
+        let now = view.snapshot().datagrams;
+        quiet = if now == seen { quiet + 1 } else { 0 };
+        seen = now;
+        for frame in frames.try_iter() {
+            collector.apply_bytes(&frame).expect("apply");
         }
     }
-    exporter.join().expect("exporter thread");
-    for summary in daemon.flush() {
-        collector.apply_bytes(&summary.encode()).expect("apply");
+    let report = edge.stop();
+    for frame in frames.try_iter() {
+        collector.apply_bytes(&frame).expect("apply");
     }
 
-    let stats = daemon.stats();
+    let stats = report.daemon;
     println!(
         "daemon: {} records over UDP, {} windows summarized, {} summary bytes",
         stats.records, stats.summaries, stats.summary_bytes
